@@ -2,13 +2,13 @@
 //! copy accounting and the split-phase extension. Points fan out across
 //! `ABR_JOBS` workers; timings land in `BENCH_sweep.json`.
 
-use abr_bench::sweep_json;
+use abr_bench::record;
 use abr_cluster::report::Table;
 use abr_cluster::sweep::jobs_from_env;
 
 type Ablation = (&'static str, fn(u64) -> Vec<Table>);
 
-fn main() {
+fn main() -> Result<(), String> {
     let iters = abr_bench::iters();
     let ablations: [Ablation; 7] = [
         ("ablation_delay", abr_bench::figures::ablation_delay),
@@ -24,9 +24,10 @@ fn main() {
     ];
     let mut records = Vec::new();
     for (name, f) in ablations {
-        let (tables, record) = sweep_json::timed_figure(name, || f(iters));
+        let (tables, timing) = record::timed_figure(name, || f(iters));
         abr_bench::figures::print_all(&tables);
-        records.push(record);
+        records.push(timing);
     }
-    sweep_json::write(jobs_from_env(), iters, &records);
+    let body = record::sweep(jobs_from_env(), iters, &records);
+    record::write("BENCH_sweep.json", &body)
 }

@@ -2,13 +2,13 @@
 //! figure's config points across `ABR_JOBS` workers (default: all cores),
 //! and record per-figure wall-clock timings to `BENCH_sweep.json`.
 
-use abr_bench::sweep_json;
+use abr_bench::record;
 use abr_cluster::report::Table;
 use abr_cluster::sweep::jobs_from_env;
 
 type Figure = (&'static str, fn(u64) -> Vec<Table>);
 
-fn main() {
+fn main() -> Result<(), String> {
     let iters = abr_bench::iters();
     let figures: [Figure; 14] = [
         ("fig6", abr_bench::figures::fig6),
@@ -31,10 +31,11 @@ fn main() {
     ];
     let mut records = Vec::new();
     for (name, f) in figures {
-        let (tables, record) = sweep_json::timed_figure(name, || f(iters));
+        let (tables, timing) = record::timed_figure(name, || f(iters));
         println!("### {name}");
         abr_bench::figures::print_all(&tables);
-        records.push(record);
+        records.push(timing);
     }
-    sweep_json::write(jobs_from_env(), iters, &records);
+    let body = record::sweep(jobs_from_env(), iters, &records);
+    record::write("BENCH_sweep.json", &body)
 }

@@ -5,11 +5,11 @@
 //! that exact plan instead of the default loss ladder and prints the full
 //! counter breakdown — the quickest way to eyeball a custom fault schedule.
 
-use abr_bench::sweep_json;
+use abr_bench::record;
 use abr_cluster::sweep::jobs_from_env;
 use abr_cluster::FaultPlan;
 
-fn main() {
+fn main() -> Result<(), String> {
     let iters = abr_bench::iters();
     let plan = match FaultPlan::from_env() {
         Ok(p) => p,
@@ -18,13 +18,14 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let (tables, record) = match &plan {
-        Some(plan) => sweep_json::timed_figure("custom_faults", || {
+    let (tables, timing) = match &plan {
+        Some(plan) => record::timed_figure("custom_faults", || {
             abr_bench::figures::custom_fault_tables(iters, plan)
         }),
-        None => sweep_json::timed_figure("fig_loss", || abr_bench::figures::fig_loss(iters)),
+        None => record::timed_figure("fig_loss", || abr_bench::figures::fig_loss(iters)),
     };
-    println!("### {}", record.name);
+    println!("### {}", timing.name);
     abr_bench::figures::print_all(&tables);
-    sweep_json::write(jobs_from_env(), iters, &[record]);
+    let body = record::sweep(jobs_from_env(), iters, &[timing]);
+    record::write("BENCH_sweep.json", &body)
 }

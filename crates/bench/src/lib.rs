@@ -11,12 +11,10 @@
 
 #![warn(missing_docs)]
 
-pub mod bw_json;
-pub mod fabric_json;
 pub mod figures;
-pub mod scale_json;
-pub mod sweep_json;
-pub mod tenant_json;
+pub mod record;
+
+use std::str::FromStr;
 
 /// Iterations per configuration, from `ABR_ITERS` (default 300).
 ///
@@ -24,18 +22,7 @@ pub mod tenant_json;
 /// Panics on a set-but-invalid `ABR_ITERS` (non-numeric or zero) — a typo'd
 /// iteration count must not silently run the default.
 pub fn iters() -> u64 {
-    abr_trace::parse_env("ABR_ITERS", parse_iters).unwrap_or(300)
-}
-
-/// Parse an explicit `ABR_ITERS` value: a positive iteration count.
-pub fn parse_iters(raw: &str) -> Result<u64, String> {
-    match raw.trim().parse::<u64>() {
-        Ok(0) => Err("ABR_ITERS must be a positive iteration count, got 0".to_string()),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!(
-            "ABR_ITERS must be a positive iteration count, got {raw:?}"
-        )),
-    }
+    positive_env("ABR_ITERS", "iteration count").unwrap_or(300)
 }
 
 /// Largest cluster the scale figure sweeps, from `ABR_SCALE_MAX`
@@ -44,18 +31,7 @@ pub fn parse_iters(raw: &str) -> Result<u64, String> {
 /// # Panics
 /// Panics on a set-but-invalid `ABR_SCALE_MAX` (non-numeric or zero).
 pub fn scale_max() -> u32 {
-    abr_trace::parse_env("ABR_SCALE_MAX", parse_scale_max).unwrap_or(65_536)
-}
-
-/// Parse an explicit `ABR_SCALE_MAX` value: a positive rank count.
-pub fn parse_scale_max(raw: &str) -> Result<u32, String> {
-    match raw.trim().parse::<u32>() {
-        Ok(0) => Err("ABR_SCALE_MAX must be a positive rank count, got 0".to_string()),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!(
-            "ABR_SCALE_MAX must be a positive rank count, got {raw:?}"
-        )),
-    }
+    positive_env("ABR_SCALE_MAX", "rank count").unwrap_or(65_536)
 }
 
 /// Largest message the bandwidth figure sweeps, in bytes, from
@@ -65,17 +41,25 @@ pub fn parse_scale_max(raw: &str) -> Result<u32, String> {
 /// # Panics
 /// Panics on a set-but-invalid `ABR_MSG_BYTES` (non-numeric or zero).
 pub fn msg_bytes() -> usize {
-    abr_trace::parse_env("ABR_MSG_BYTES", parse_msg_bytes).unwrap_or(64 * 1024 * 1024)
+    positive_env("ABR_MSG_BYTES", "byte count").unwrap_or(64 * 1024 * 1024)
 }
 
-/// Parse an explicit `ABR_MSG_BYTES` value: a positive byte count.
-pub fn parse_msg_bytes(raw: &str) -> Result<usize, String> {
-    match raw.trim().parse::<usize>() {
-        Ok(0) => Err("ABR_MSG_BYTES must be a positive byte count, got 0".to_string()),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!(
-            "ABR_MSG_BYTES must be a positive byte count, got {raw:?}"
-        )),
+/// The knob `name` as a positive integer through [`abr_trace::parse_env`]:
+/// `None` when unset, a panic naming the knob when set but invalid.
+fn positive_env<T: FromStr + Default + PartialEq>(name: &'static str, what: &str) -> Option<T> {
+    abr_trace::parse_env(name, |raw| parse_positive(name, what, raw))
+}
+
+/// Parse a positive integer for the knob `name`; `what` names the count in
+/// the error message.
+fn parse_positive<T: FromStr + Default + PartialEq>(
+    name: &str,
+    what: &str,
+    raw: &str,
+) -> Result<T, String> {
+    match raw.trim().parse::<T>() {
+        Ok(n) if n != T::default() => Ok(n),
+        _ => Err(format!("{name} must be a positive {what}, got {raw:?}")),
     }
 }
 
@@ -84,32 +68,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_scale_max_accepts_positive_and_rejects_junk() {
-        assert_eq!(parse_scale_max("65536"), Ok(65_536));
-        assert_eq!(parse_scale_max(" 1024 "), Ok(1024));
-        for bad in ["0", "", "big", "-1"] {
-            let err = parse_scale_max(bad).unwrap_err();
-            assert!(err.contains("ABR_SCALE_MAX"), "{bad:?}: {err}");
-        }
-    }
-
-    #[test]
-    fn parse_msg_bytes_accepts_positive_and_rejects_junk() {
-        assert_eq!(parse_msg_bytes("67108864"), Ok(67_108_864));
-        assert_eq!(parse_msg_bytes(" 1024 "), Ok(1024));
-        for bad in ["0", "", "64M", "-1"] {
-            let err = parse_msg_bytes(bad).unwrap_err();
+    fn parse_positive_accepts_positive_and_rejects_junk() {
+        assert_eq!(parse_positive::<u64>("ABR_ITERS", "count", " 40 "), Ok(40));
+        assert_eq!(parse_positive::<u32>("ABR_X", "count", "65536"), Ok(65_536));
+        for bad in ["0", "", "many", "-3", "1e3", "64M"] {
+            let err = parse_positive::<usize>("ABR_MSG_BYTES", "byte count", bad).unwrap_err();
             assert!(err.contains("ABR_MSG_BYTES"), "{bad:?}: {err}");
-        }
-    }
-
-    #[test]
-    fn parse_iters_accepts_positive_and_rejects_junk() {
-        assert_eq!(parse_iters("300"), Ok(300));
-        assert_eq!(parse_iters(" 40 "), Ok(40));
-        for bad in ["0", "", "many", "-3", "1e3"] {
-            let err = parse_iters(bad).unwrap_err();
-            assert!(err.contains("ABR_ITERS"), "{bad}: {err}");
         }
     }
 }

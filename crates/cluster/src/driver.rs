@@ -1167,34 +1167,13 @@ impl<E: MessageEngine, P: Program> DesDriver<E, P> {
     /// `make_engine` and running `programs[rank]` on it.
     pub fn new(
         spec: &ClusterSpec,
-        make_engine: impl FnMut(u32, EngineConfig) -> E,
-        programs: Vec<P>,
-    ) -> Self {
-        Self::new_tuned(spec, make_engine, programs, |_| {})
-    }
-
-    /// [`DesDriver::new`] with a hook to adjust the derived [`EngineConfig`]
-    /// before engines are built (e.g. `shared_schedules = false` to emulate
-    /// the pre-registry per-engine schedule builds in the scale benchmark).
-    pub fn new_tuned(
-        spec: &ClusterSpec,
         mut make_engine: impl FnMut(u32, EngineConfig) -> E,
         programs: Vec<P>,
-        tune: impl FnOnce(&mut EngineConfig),
     ) -> Self {
         let n = spec.len();
         assert_eq!(programs.len(), n, "one program per rank");
         assert!(n >= 1);
-        let mut config = EngineConfig {
-            cost: spec.cost.clone(),
-            eager_limit: spec.eager_limit,
-            memory_budget: None,
-            allreduce_rs_threshold: 2048,
-            topology: spec.topology,
-            shared_schedules: true,
-            segments: spec.segments,
-        };
-        tune(&mut config);
+        let config = spec.engine_config();
         let core = Core {
             base: 0,
             queue: EventQueue::new(),
@@ -1267,15 +1246,7 @@ impl<E: MessageEngine, P: Program> DesDriver<E, P> {
             "a tenant run needs at least one job"
         );
         assert_eq!(programs.len(), placements.len(), "one program set per job");
-        let config = EngineConfig {
-            cost: spec.cost.clone(),
-            eager_limit: spec.eager_limit,
-            memory_budget: None,
-            allreduce_rs_threshold: 2048,
-            topology: spec.topology,
-            shared_schedules: true,
-            segments: spec.segments,
-        };
+        let config = spec.engine_config();
         let mut job_of = Vec::new();
         let mut base_of = Vec::with_capacity(placements.len());
         let mut phys_of = Vec::new();

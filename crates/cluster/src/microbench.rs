@@ -1223,16 +1223,6 @@ pub fn run_latency(cfg: &LatencyConfig) -> LatencyResult {
 // Scale benchmark (events/sec at large rank counts)
 // ---------------------------------------------------------------------
 
-/// Which executor [`run_scale_bench`] drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScaleExec {
-    /// The sequential executor ([`DesDriver::run`]).
-    Sequential,
-    /// The parallel conservative executor with this many shards
-    /// ([`DesDriver::run_sharded`]).
-    Sharded(usize),
-}
-
 /// One timed scale-benchmark run.
 #[derive(Debug, Clone)]
 pub struct ScaleRunResult {
@@ -1248,22 +1238,13 @@ pub struct ScaleRunResult {
     pub events_per_sec: f64,
     /// Virtual makespan (µs).
     pub makespan_us: f64,
-    /// Mean per-reduction CPU µs (the figure metric, as a sanity anchor).
-    pub mean_cpu_us: f64,
     /// Packets delivered.
     pub packets_delivered: u64,
 }
 
-/// Time the baseline-engine CPU-utilization workload at `n` ranks and
-/// report DES throughput (events/sec).
-///
-/// `legacy = true` emulates the pre-arena driver for before/after
-/// comparisons: type-erased `Box<dyn Program>` programs (a vtable hop per
-/// step) and `shared_schedules = false` (every engine builds its own
-/// O(n) topology schedule, the per-engine cost that made 64k-rank runs
-/// infeasible). `legacy` forces the sequential executor; `exec` picks the
-/// executor for the modern path.
-pub fn run_scale_bench(n: u32, iters: u64, legacy: bool, exec: ScaleExec) -> ScaleRunResult {
+/// Time the baseline-engine CPU-utilization workload at `n` ranks on the
+/// sequential executor and report DES throughput (events/sec).
+pub fn run_scale_bench(n: u32, iters: u64) -> ScaleRunResult {
     let cfg = CpuUtilConfig {
         elems: 4,
         max_skew_us: 200,
@@ -1271,55 +1252,20 @@ pub fn run_scale_bench(n: u32, iters: u64, legacy: bool, exec: ScaleExec) -> Sca
         ..CpuUtilConfig::new(ClusterSpec::heterogeneous(n), Mode::Baseline)
     };
     let start = std::time::Instant::now();
-    let (events, makespan_us, packets, nodes) = if legacy {
-        let programs: Vec<Box<dyn Program>> = cpu_util_programs(&cfg)
-            .into_iter()
-            .map(|p| Box::new(p) as Box<dyn Program>)
-            .collect();
-        let mut d = DesDriver::new_tuned(
-            &cfg.cluster,
-            |rank, ec: EngineConfig| Engine::new(rank, n, ec),
-            programs,
-            |c| c.shared_schedules = false,
-        );
-        d.run();
-        (
-            d.events_processed(),
-            d.now().as_us_f64(),
-            d.packets_delivered,
-            d.results(),
-        )
-    } else {
-        let mut d = DesDriver::new(
-            &cfg.cluster,
-            |rank, ec: EngineConfig| Engine::new(rank, n, ec),
-            cpu_util_programs(&cfg),
-        );
-        match exec {
-            ScaleExec::Sequential => d.run(),
-            ScaleExec::Sharded(s) => d.run_sharded(s),
-        }
-        (
-            d.events_processed(),
-            d.now().as_us_f64(),
-            d.packets_delivered,
-            d.results(),
-        )
-    };
+    let mut d = DesDriver::new(
+        &cfg.cluster,
+        |rank, ec: EngineConfig| Engine::new(rank, n, ec),
+        cpu_util_programs(&cfg),
+    );
+    d.run();
     let wall_secs = start.elapsed().as_secs_f64();
-    let mut acc = Accumulator::new();
-    for node in &nodes {
-        for o in node.obs.iter().filter(|o| o.key == "cpu_util_us") {
-            acc.push(o.value);
-        }
-    }
+    let events = d.events_processed();
     ScaleRunResult {
         ranks: n,
         events,
         wall_secs,
         events_per_sec: events as f64 / wall_secs.max(1e-9),
-        makespan_us,
-        mean_cpu_us: acc.mean(),
-        packets_delivered: packets,
+        makespan_us: d.now().as_us_f64(),
+        packets_delivered: d.packets_delivered,
     }
 }

@@ -10,6 +10,7 @@
 use abr_fabric::FabricSpec;
 use abr_gm::cost::CostModel;
 use abr_gm::nic::NodeHw;
+use abr_mpr::engine::EngineConfig;
 use abr_mpr::topology::TopologyKind;
 
 /// A cluster: per-node hardware plus the shared cost model.
@@ -146,6 +147,19 @@ impl ClusterSpec {
         assert!(window >= 1, "segment window must be >= 1");
         self.segments = window;
         self
+    }
+
+    /// The engine configuration every rank of this cluster runs with: the
+    /// spec's cost model, eager limit, topology and segment window over
+    /// the [`EngineConfig`] defaults.
+    pub fn engine_config(&self) -> EngineConfig {
+        EngineConfig {
+            cost: self.cost.clone(),
+            eager_limit: self.eager_limit,
+            topology: self.topology,
+            segments: self.segments,
+            ..EngineConfig::default()
+        }
     }
 }
 

@@ -24,8 +24,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "==> cargo test --doc"
 cargo test -q --workspace --doc
 
+# Smoke runs write their BENCH_*.json records here, never over the
+# committed ones in the repo root.
+OUT=ci-out
+rm -rf "$OUT" && mkdir -p "$OUT/shards"
+
 echo "==> fault smoke sweep (loss figure under seeded 1% drop+dup)"
-ABR_ITERS=20 ABR_JOBS=2 ABR_SWEEP_JSON=BENCH_sweep.json \
+ABR_ITERS=20 ABR_JOBS=2 ABR_OUT_DIR="$OUT" \
   ABR_FAULTS="seed=7; drop p=0.01; dup p=0.01" \
   cargo run -q --release -p abr_bench --bin loss_figure
 
@@ -48,16 +53,16 @@ echo "==> skew-vs-topology figure"
 ABR_ITERS=20 ABR_JOBS=2 \
   cargo run -q --release -p abr_bench --bin topology_figure > FIG_topology.txt
 
-echo "==> scale smoke (fig_scale capped at 1k ranks + before/after throughput)"
-ABR_SCALE_MAX=1024 ABR_ITERS=5 ABR_JOBS=2 \
+echo "==> scale smoke (fig_scale capped at 1k ranks + DES throughput)"
+ABR_SCALE_MAX=1024 ABR_ITERS=5 ABR_JOBS=2 ABR_OUT_DIR="$OUT" \
   cargo run -q --release -p abr_bench --bin scale_figure > FIG_scale.txt
-grep -q '"schema": "abr-scale-v1"' BENCH_scale.json \
+grep -q '"schema": "abr-scale-v2"' "$OUT/BENCH_scale.json" \
   || { echo "BENCH_scale.json missing or malformed"; exit 1; }
 
 echo "==> fabric smoke (512-rank oversubscribed fat-tree fig_fabric)"
-ABR_SCALE_MAX=512 ABR_ITERS=5 ABR_JOBS=2 \
+ABR_SCALE_MAX=512 ABR_ITERS=5 ABR_JOBS=2 ABR_OUT_DIR="$OUT" \
   cargo run -q --release -p abr_bench --bin fabric_figure > FIG_fabric.txt
-grep -q '"schema": "abr-fabric-v1"' BENCH_fabric.json \
+grep -q '"schema": "abr-fabric-v1"' "$OUT/BENCH_fabric.json" \
   || { echo "BENCH_fabric.json missing or malformed"; exit 1; }
 
 echo "==> flat-fabric golden diff (FabricNetwork wrapper must not perturb figures)"
@@ -67,9 +72,9 @@ diff -u crates/bench/golden/fig6_iters5.txt FIG6_fabric_flat.txt \
   || { echo "ABR_FABRIC=flat diverged from the pre-fabric golden"; exit 1; }
 
 echo "==> bandwidth smoke (segmented pipeline + dual-root allreduce, capped at 256 KiB)"
-ABR_MSG_BYTES=262144 ABR_ITERS=5 ABR_JOBS=2 \
+ABR_MSG_BYTES=262144 ABR_ITERS=5 ABR_JOBS=2 ABR_OUT_DIR="$OUT" \
   cargo run -q --release -p abr_bench --bin bandwidth_figure > FIG_bandwidth_smoke.txt
-grep -q '"schema": "abr-bw-v1"' BENCH_bw.json \
+grep -q '"schema": "abr-bw-v1"' "$OUT/BENCH_bw.json" \
   || { echo "BENCH_bw.json missing or malformed"; exit 1; }
 
 echo "==> segmentation-off golden diff (ABR_SEGMENTS=1 must not perturb figures)"
@@ -78,15 +83,29 @@ ABR_SEGMENTS=1 ABR_TOPO=binomial ABR_ITERS=5 ABR_JOBS=2 \
 diff -u crates/bench/golden/fig6_iters5.txt FIG6_segments_off.txt \
   || { echo "ABR_SEGMENTS=1 diverged from the pre-segmentation golden"; exit 1; }
 
+echo "==> tenant saturation smoke (ab advantage widens with load)"
+ABR_TENANT_LOAD=4 ABR_JOBS=2 ABR_OUT_DIR="$OUT" \
+  cargo run -q --release -p abr_bench --bin tenant_figure > FIG_tenant_smoke.txt
+grep -q '"schema": "abr-tenant-v1"' "$OUT/BENCH_tenant.json" \
+  || { echo "BENCH_tenant.json missing or malformed"; exit 1; }
+grep -q '"widening": true' "$OUT/BENCH_tenant.json" \
+  || { echo "tenant ab advantage did not widen with load"; exit 1; }
+
+echo "==> tenant-solo golden diff (1-job tenant path must not perturb figures)"
+ABR_TENANT_SOLO=1 ABR_TOPO=binomial ABR_ITERS=5 ABR_JOBS=2 \
+  cargo run -q --release -p abr_bench --bin fig6 > FIG6_tenant_solo.txt
+diff -u crates/bench/golden/fig6_iters5.txt FIG6_tenant_solo.txt \
+  || { echo "ABR_TENANT_SOLO=1 diverged from the solo-driver golden"; exit 1; }
+
 echo "==> docs link check (intra-repo links in the teaching docs)"
 ./scripts/check_links.sh
 
 echo "==> parallel executor determinism (same figure under 2 and 8 shards)"
 ABR_DES_SHARDS=2 ABR_SCALE_MAX=1024 ABR_ITERS=5 ABR_JOBS=1 \
-  ABR_SCALE_JSON=/dev/null \
+  ABR_OUT_DIR="$OUT/shards" \
   cargo run -q --release -p abr_bench --bin scale_figure > FIG_scale_s2.txt
 ABR_DES_SHARDS=8 ABR_SCALE_MAX=1024 ABR_ITERS=5 ABR_JOBS=1 \
-  ABR_SCALE_JSON=/dev/null \
+  ABR_OUT_DIR="$OUT/shards" \
   cargo run -q --release -p abr_bench --bin scale_figure > FIG_scale_s8.txt
 # Compare only the figure tables: the trailing throughput section reports
 # wall-clock timings, which legitimately vary run to run.
